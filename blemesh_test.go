@@ -1,6 +1,7 @@
 package blemesh
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,37 @@ func TestBuildNetworkFacade(t *testing.T) {
 	nw.Run(60 * Second)
 	if nw.CoAPPDR().Rate() < 0.98 {
 		t.Fatalf("PDR %.4f", nw.CoAPPDR().Rate())
+	}
+}
+
+// TestConnsHandleOrder pins Controller.Conns to handle order on a node
+// built through the facade (no caller-supplied arena): a hub with six
+// inbound links must list them identically, sorted by handle, on every call.
+func TestConnsHandleOrder(t *testing.T) {
+	w := New(3)
+	hub := w.NewNode(NodeConfig{Name: "hub", MAC: 0xB0})
+	hub.AcceptInbound(6)
+	for i := 0; i < 6; i++ {
+		peer := w.NewNode(NodeConfig{Name: fmt.Sprintf("leaf-%d", i), MAC: uint64(0xC0 + i)})
+		peer.ConnectTo(hub)
+	}
+	w.Run(30 * Second)
+	first := hub.Ctrl.Conns()
+	if len(first) != 6 {
+		t.Fatalf("hub has %d connections, want 6", len(first))
+	}
+	for i := 1; i < len(first); i++ {
+		if first[i-1].Handle() >= first[i].Handle() {
+			t.Fatalf("Conns not in handle order: handle %d before %d",
+				first[i-1].Handle(), first[i].Handle())
+		}
+	}
+	for call := 0; call < 200; call++ {
+		for i, c := range hub.Ctrl.Conns() {
+			if c != first[i] {
+				t.Fatalf("call %d: Conns()[%d] has handle %d, first call had %d",
+					call, i, c.Handle(), first[i].Handle())
+			}
+		}
 	}
 }

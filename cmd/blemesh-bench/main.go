@@ -78,12 +78,6 @@ const (
 	// shardedBenchLanes is the worker-lane count of the gated measurement
 	// (the speedup_sharded4 key).
 	shardedBenchLanes = 4
-	// minArenaMemReduction is the acceptance bar of the arena-backed
-	// struct-of-arrays node state: the 10k-node city-scale build must sit
-	// at no more than half the legacy allocation path's resident bytes per
-	// node. CI passes 0 to keep the ratio informational on shared runners;
-	// locally it is the tentpole gate.
-	minArenaMemReduction = 2.0
 	// max10kNsPerEvent is the local ceiling for the 10k-node city-scale
 	// run's per-event cost. The measured value sits well under half of
 	// this on a development machine; a spatial-index or lean-mode
@@ -193,7 +187,7 @@ func traceSampledOverhead() float64 {
 
 // forestNsPerEvent measures the end-to-end cost per simulated event of a
 // four-site forest run (four RF-isolated trees, 60 nodes). shards==0 drives
-// the legacy serial engine — the baseline; shards==4 drives the conservative
+// the serial engine — the baseline; shards==4 drives the conservative
 // sharded scheduler with four worker lanes. Event counts differ slightly
 // between the two modes (per-site RNG streams), so the ratio is taken per
 // event, not per run.
@@ -240,40 +234,31 @@ func cityNsPerEvent(lanes int) float64 {
 }
 
 // cityMemStats measures the settled heap cost per node of the canonical
-// 10k-node city-scale build on both allocation paths, plus the arena
-// build's wall clock. Heap-in-use deltas are taken across the build after
-// a double GC on each side (the network held live), so the number is the
-// resident per-node footprint, not allocation churn. The reduction ratio
-// is a deterministic property of the data layout — the arena-backed
-// struct-of-arrays state must keep it at or above -minmemreduction.
+// 10k-node city-scale build, plus the build's wall clock. Heap-in-use
+// deltas are taken across the build after a double GC on each side (the
+// network held live), so the number is the resident per-node footprint,
+// not allocation churn. It is a deterministic property of the data layout,
+// gated as a ceiling against the committed baseline.
 func cityMemStats(lanes int) map[string]float64 {
-	measure := func(legacyAlloc bool) (bytesPerNode, buildMS float64) {
-		cfg := exp.CityScaleConfig(lanes)
-		cfg.LegacyAlloc = legacyAlloc
-		runtime.GC()
-		runtime.GC()
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		nw := exp.BuildNetwork(cfg)
-		buildMS = time.Since(start).Seconds() * 1e3
-		runtime.GC()
-		runtime.GC()
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		if after.HeapInuse > before.HeapInuse {
-			bytesPerNode = float64(after.HeapInuse-before.HeapInuse) / float64(nw.NodeCount())
-		}
-		runtime.KeepAlive(nw)
-		return bytesPerNode, buildMS
+	runtime.GC()
+	runtime.GC()
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	nw := exp.BuildNetwork(exp.CityScaleConfig(lanes))
+	buildMS := time.Since(start).Seconds() * 1e3
+	runtime.GC()
+	runtime.GC()
+	var after runtime.MemStats
+	runtime.ReadMemStats(&after)
+	var bytesPerNode float64
+	if after.HeapInuse > before.HeapInuse {
+		bytesPerNode = float64(after.HeapInuse-before.HeapInuse) / float64(nw.NodeCount())
 	}
-	soa, buildMS := measure(false)
-	legacyBytes, _ := measure(true)
+	runtime.KeepAlive(nw)
 	return map[string]float64{
-		"bytes_per_node_10k":        math.Floor(soa),
-		"bytes_per_node_10k_legacy": math.Floor(legacyBytes),
-		"mem_reduction_10k":         legacyBytes / soa,
-		"build_ms_10k":              buildMS,
+		"bytes_per_node_10k": math.Floor(bytesPerNode),
+		"build_ms_10k":       buildMS,
 	}
 }
 
@@ -332,8 +317,6 @@ func main() {
 		"worker lanes for the sharded forest measurement (the baseline keys are recorded at the default 4)")
 	max10kNs := flag.Float64("max10kns", max10kNsPerEvent,
 		"ns/event ceiling for the 10k-node city-scale run (0 disables the gate; CI passes 0 so the wall-clock value stays informational on shared runners)")
-	minMemRed := flag.Float64("minmemreduction", minArenaMemReduction,
-		"required bytes-per-node reduction of the arena build vs the legacy allocation path on the 10k city-scale network (0 disables; CI passes 0 to keep it informational)")
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if !*write && !*check {
@@ -411,11 +394,6 @@ func main() {
 				m["ns_per_event_10k"], *max10kNs)
 			failed = true
 		}
-		if *minMemRed > 0 && m["mem_reduction_10k"] < *minMemRed {
-			fmt.Fprintf(os.Stderr, "FAIL: mem_reduction_10k = %.2f, want ≥ %.2f (arena build must halve resident bytes per node)\n",
-				m["mem_reduction_10k"], *minMemRed)
-			failed = true
-		}
 		if m["speedup_sharded4"] < *minSharded {
 			fmt.Fprintf(os.Stderr, "FAIL: speedup_sharded4 = %.2f, want ≥ %.2f (sharded scheduler must not lose to serial on the forest)\n",
 				m["speedup_sharded4"], *minSharded)
@@ -463,7 +441,8 @@ func main() {
 						k, m[k], floor, want, int(*tolerance*100))
 					failed = true
 				}
-			case strings.HasPrefix(k, "allocs_per_pkt_") || strings.HasPrefix(k, "bytes_per_pkt_"):
+			case strings.HasPrefix(k, "allocs_per_pkt_") || strings.HasPrefix(k, "bytes_per_pkt_") ||
+				k == "bytes_per_node_10k":
 				// Heap costs must not rise above the baseline.
 				ceil := want * (1 + *tolerance)
 				if m[k] > ceil {
@@ -480,7 +459,7 @@ func main() {
 						k, m[k], ceil, want, int(*tolerance*100))
 					failed = true
 				}
-			case k == "sketch_mem_reduction_1e6" || k == "mem_reduction_10k":
+			case k == "sketch_mem_reduction_1e6":
 				// Memory advantage must not fall below the baseline.
 				floor := want * (1 - *tolerance)
 				if m[k] < floor {

@@ -42,7 +42,7 @@ func main() {
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	streamPath := fs.String("stream", "", "stream periodic registry snapshots (NDJSON) to this file during the run")
 	streamEvery := fs.Int("stream-every", 60, "streaming period in simulated seconds")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical either way)")
+	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical for every value ≥ 1, and matches 0 only on single-site topologies)")
 	_ = fs.Parse(os.Args[1:])
 
 	blemesh.SetExactCDF(*exact)

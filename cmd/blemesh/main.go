@@ -66,7 +66,7 @@ func run(args []string) {
 	runs := fs.Int("runs", 1, "repetitions (paper: 5)")
 	workers := fs.Int("workers", 0, "parallel workers for repeated/swept experiments (0 = GOMAXPROCS)")
 	engineName := fs.String("engine", "wheel", "sim event-queue engine: wheel or heap")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical either way)")
+	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical for every value ≥ 1, and matches 0 only on single-site topologies)")
 	values := fs.Bool("values", false, "also print the key-number table")
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(fs)

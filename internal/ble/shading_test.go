@@ -246,16 +246,16 @@ func TestCapacitySplitMatchesRelativeAnchorPosition(t *testing.T) {
 		t0 := sim.Time(10 * sim.Millisecond)
 		// Connection A: hub coordinates, peerA subordinate.
 		connA := newConn(hub.ctrl, Coordinator, peerA.ctrl.Addr(), p, 0x1111, 7, t0)
-		hub.ctrl.conns[connA.handle] = connA
+		hub.ctrl.conns = append(hub.ctrl.conns, connA)
 		subA := newConn(peerA.ctrl, Subordinate, hub.ctrl.Addr(), p, 0x1111, 7, t0)
-		peerA.ctrl.conns[subA.handle] = subA
+		peerA.ctrl.conns = append(peerA.ctrl.conns, subA)
 		subA.OnData = func(_ LLID, _ []byte, _ uint64) { delivered++ }
 		if withB {
 			// Connection B: hub subordinate, peerB coordinates.
 			coordB := newConn(peerB.ctrl, Coordinator, hub.ctrl.Addr(), p, 0x2222, 9, t0+offset)
-			peerB.ctrl.conns[coordB.handle] = coordB
+			peerB.ctrl.conns = append(peerB.ctrl.conns, coordB)
 			subB := newConn(hub.ctrl, Subordinate, peerB.ctrl.Addr(), p, 0x2222, 9, t0+offset)
-			hub.ctrl.conns[subB.handle] = subB
+			hub.ctrl.conns = append(hub.ctrl.conns, subB)
 		}
 		// Saturate connection A.
 		var pump func()

@@ -77,18 +77,16 @@ type Endpoint struct {
 	st   *ip6.Stack
 	port uint16
 
-	mid     uint16
-	tokSeq  uint64
-	pending map[string]*pendingReq // by token
-
-	// dedup of recently seen (peer, MID) pairs for CON handling.
-	seen  map[string]sim.Time
-	stats Stats
-	// lazy defers the pending/seen map allocations to first use: a city-
-	// scale build creates 10k+ endpoints whose maps mostly stay empty until
-	// traffic starts. Reads of nil maps are already safe; the two write
-	// sites go through ensurePending/ensureSeen.
-	lazy    bool
+	mid    uint16
+	tokSeq uint64
+	// pending (by token) and seen (recent (peer, MID) pairs, the CON
+	// dedup cache) are allocated on first use: a city-scale build creates
+	// 10k+ endpoints whose maps mostly stay empty until traffic starts.
+	// Reads of nil maps are already safe; the two write sites go through
+	// ensurePending/ensureSeen.
+	pending map[string]*pendingReq
+	seen    map[string]sim.Time
+	stats   Stats
 	Handler Handler
 
 	tr   *trace.Log
@@ -105,23 +103,18 @@ func (ep *Endpoint) SetTrace(l *trace.Log, node string) {
 // NewEndpoint binds a CoAP endpoint to the stack's CoAP port.
 func NewEndpoint(s *sim.Sim, st *ip6.Stack, port uint16) *Endpoint {
 	ep := new(Endpoint)
-	NewEndpointInto(ep, s, st, port, false)
+	NewEndpointInto(ep, s, st, port)
 	return ep
 }
 
 // NewEndpointInto initializes an endpoint in place (arena-backed
-// construction). lazy defers the internal map allocations to first use;
-// behaviour — including the message-ID RNG draw, which must stay in build
-// order for byte-identical runs — is unchanged.
-func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16, lazy bool) {
+// construction). The message-ID RNG draw happens here, in build order, so
+// runs stay byte-identical.
+func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16) {
 	if port == 0 {
 		port = DefaultPort
 	}
-	*ep = Endpoint{s: s, st: st, port: port, lazy: lazy}
-	if !lazy {
-		ep.pending = make(map[string]*pendingReq)
-		ep.seen = make(map[string]sim.Time)
-	}
+	*ep = Endpoint{s: s, st: st, port: port}
 	ep.mid = uint16(s.Rand().Intn(1 << 16))
 	st.ListenUDP(port, ep.onUDP)
 }
@@ -245,11 +238,7 @@ func (ep *Endpoint) Reset() {
 		ep.s.Cancel(pr.expire)
 		delete(ep.pending, key)
 	}
-	if ep.lazy {
-		ep.seen = nil
-	} else {
-		ep.seen = make(map[string]sim.Time)
-	}
+	ep.seen = nil
 }
 
 // send encodes and emits a message over UDP, returning the provenance ID

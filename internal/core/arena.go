@@ -10,12 +10,10 @@ import (
 	"blemesh/internal/statconn"
 )
 
-// Arena is preallocated struct storage for arena-backed node construction:
-// one contiguous slab per subsystem type, sized for a known node count and
-// carved one element per node. Building through an arena also selects the
-// compact internal storage of every layer (slice-backed tables instead of
-// maps, lazily allocated caches, one shared GATT database) — the
-// struct-of-arrays layout that makes city-scale populations affordable.
+// Arena is preallocated struct storage for node construction: one
+// contiguous slab per subsystem type, sized for a known node count and
+// carved one element per node, plus the GATT database its nodes share —
+// the struct-of-arrays layout that makes city-scale populations affordable.
 //
 // An arena is single-site: node construction carves slabs sequentially, so
 // parallel builders use one arena per topology site.

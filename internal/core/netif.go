@@ -58,16 +58,13 @@ type NetIf struct {
 	stack *ip6.Stack
 	mac   uint64
 	ctxs  []sixlo.Context
-	// Neighbor table: exactly one backend is live. Legacy construction
-	// uses the map; compact mode scans the short slice — a BLE node
+	// Neighbor table: a short slice scanned linearly — a BLE node
 	// sustains a handful of links.
-	links    map[uint64]*link
-	linkList []*link
-	compact  bool
-	gattDB   *gatt.Server
-	stats    NetIfStats
-	tr       *trace.Log
-	node     string
+	links  []*link
+	gattDB *gatt.Server
+	stats  NetIfStats
+	tr     *trace.Log
+	node   string
 }
 
 // SetTrace wires the adapter to a shared trace log (for link-down drop
@@ -77,73 +74,37 @@ func (n *NetIf) SetTrace(l *trace.Log, node string) {
 	n.node = node
 }
 
-// NewNetIf creates the adapter and attaches it to the stack.
-func NewNetIf(s *sim.Sim, stack *ip6.Stack) *NetIf {
-	n := new(NetIf)
-	NewNetIfInto(n, s, stack, nil)
-	return n
-}
-
-// NewNetIfInto initializes an adapter in place (arena-backed construction).
-// A non-nil gattDB selects compact mode: the caller shares one immutable
-// GATT/IPSS database across all nodes (gatt.Server never changes after
-// construction) and the neighbor table becomes a slice.
+// NewNetIfInto initializes an adapter in place (arena-backed construction)
+// and attaches it to the stack. gattDB is the node's GATT/IPSS database; it
+// never changes after construction, so one instance may serve every node.
 func NewNetIfInto(n *NetIf, s *sim.Sim, stack *ip6.Stack, gattDB *gatt.Server) {
 	*n = NetIf{
-		s:     s,
-		stack: stack,
-		mac:   stack.MAC(),
-		ctxs:  sixlo.DefaultContexts,
-	}
-	if gattDB != nil {
-		n.compact = true
-		n.gattDB = gattDB
-	} else {
-		n.links = make(map[uint64]*link)
-		n.gattDB = gatt.NewServer(gatt.UUIDIPSS)
+		s:      s,
+		stack:  stack,
+		mac:    stack.MAC(),
+		ctxs:   sixlo.DefaultContexts,
+		gattDB: gattDB,
 	}
 	stack.AddInterface(n)
 }
 
 // linkFor returns the link toward mac, or nil.
 func (n *NetIf) linkFor(mac uint64) *link {
-	if n.compact {
-		for _, l := range n.linkList {
-			if l.peerMAC == mac {
-				return l
-			}
+	for _, l := range n.links {
+		if l.peerMAC == mac {
+			return l
 		}
-		return nil
 	}
-	return n.links[mac]
-}
-
-func (n *NetIf) addLinkEntry(l *link) {
-	if n.compact {
-		n.linkList = append(n.linkList, l)
-		return
-	}
-	n.links[l.peerMAC] = l
+	return nil
 }
 
 func (n *NetIf) delLinkEntry(mac uint64) {
-	if n.compact {
-		for i, l := range n.linkList {
-			if l.peerMAC == mac {
-				n.linkList = append(n.linkList[:i], n.linkList[i+1:]...)
-				return
-			}
+	for i, l := range n.links {
+		if l.peerMAC == mac {
+			n.links = append(n.links[:i], n.links[i+1:]...)
+			return
 		}
-		return
 	}
-	delete(n.links, mac)
-}
-
-func (n *NetIf) numLinks() int {
-	if n.compact {
-		return len(n.linkList)
-	}
-	return len(n.links)
 }
 
 // Stats returns a copy of the adapter counters.
@@ -159,16 +120,9 @@ func (n *NetIf) HasNeighbor(mac uint64) bool {
 
 // Links returns the neighbor MACs with active BLE connections.
 func (n *NetIf) Links() []uint64 {
-	if n.compact {
-		out := make([]uint64, 0, len(n.linkList))
-		for _, l := range n.linkList {
-			out = append(out, l.peerMAC)
-		}
-		return out
-	}
 	out := make([]uint64, 0, len(n.links))
-	for mac := range n.links {
-		out = append(out, mac)
+	for _, l := range n.links {
+		out = append(out, l.peerMAC)
 	}
 	return out
 }
@@ -197,7 +151,7 @@ func (n *NetIf) AddLink(conn *ble.Conn) {
 			})
 		})
 	}
-	n.addLinkEntry(l)
+	n.links = append(n.links, l)
 }
 
 // RemoveLink tears the adapter state for a dead BLE connection down,
@@ -312,7 +266,7 @@ func (n *NetIf) QueueDepth(mac uint64) int {
 }
 
 func (n *NetIf) String() string {
-	return fmt.Sprintf("ble-netif(%012x links=%d)", n.mac, n.numLinks())
+	return fmt.Sprintf("ble-netif(%012x links=%d)", n.mac, len(n.links))
 }
 
 // Channel returns the IPSP channel toward a neighbor, or nil (diagnostics).

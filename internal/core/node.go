@@ -42,10 +42,8 @@ type NodeConfig struct {
 	// the node fully static — no extra timers, no extra RNG draws, so
 	// static runs stay byte-identical with pre-routing builds.
 	Routing *rpl.Config
-	// Arena, when non-nil, supplies preallocated struct storage and
-	// selects every layer's compact internal representation. Observable
-	// behaviour — including the order of RNG draws during construction —
-	// is identical to the default allocation path.
+	// Arena supplies preallocated struct storage; nil builds the node
+	// from a one-node arena of its own.
 	Arena *Arena
 }
 
@@ -77,61 +75,38 @@ type provisioned struct {
 	routes   []ip6.Route
 }
 
-// NewNode builds a node on the given medium. With cfg.Arena set, every
-// subsystem struct comes out of the arena's slabs and uses its compact
-// internal storage; the construction order (and so the RNG draw order) is
-// the same on both paths.
+// NewNode builds a node on the given medium, carving every subsystem struct
+// out of cfg.Arena's slabs.
 func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 	ar := cfg.Arena
+	if ar == nil {
+		ar = NewArena(1, nil)
+	}
 	sca := cfg.SCA
 	if sca == 0 {
 		sca = 50
 	}
-	ctrlCfg := ble.ControllerConfig{
+	clk := ar.clocks.Take()
+	sim.NewClockInto(clk, s, cfg.ClockPPM)
+	radio := medium.NewRadio()
+	ctrl := ar.ctrls.Take()
+	ble.NewControllerInto(ctrl, s, clk, radio, ble.ControllerConfig{
 		Addr:                  ble.DevAddr(cfg.MAC),
 		SCA:                   sca,
 		PoolBytes:             cfg.LLPoolBytes,
 		Arbitration:           cfg.Arbitration,
 		ExchangeGap:           cfg.ExchangeGap,
 		DisableWindowWidening: cfg.DisableWindowWidening,
-		Compact:               ar != nil,
-	}
-	var (
-		clk   *sim.Clock
-		radio *phy.Radio
-		ctrl  *ble.Controller
-		stack *ip6.Stack
-		netif *NetIf
-		mgr   *statconn.Manager
-	)
-	if ar != nil {
-		clk = ar.clocks.Take()
-		sim.NewClockInto(clk, s, cfg.ClockPPM)
-		radio = medium.NewRadio()
-		ctrl = ar.ctrls.Take()
-		ble.NewControllerInto(ctrl, s, clk, radio, ctrlCfg)
-		stack = ar.stacks.Take()
-		ip6.NewStackInto(stack, s, cfg.MAC, true)
-	} else {
-		clk = sim.NewClock(s, cfg.ClockPPM)
-		radio = medium.NewRadio()
-		ctrl = ble.NewController(s, clk, radio, ctrlCfg)
-		stack = ip6.NewStack(s, cfg.MAC)
-	}
+	})
+	stack := ar.stacks.Take()
+	ip6.NewStackInto(stack, s, cfg.MAC)
 	if cfg.PktbufBytes > 0 {
 		stack.Pktbuf.Capacity = cfg.PktbufBytes
 	}
-	scCfg := cfg.Statconn
-	if ar != nil {
-		scCfg.Compact = true
-		netif = ar.netifs.Take()
-		NewNetIfInto(netif, s, stack, ar.gattDB)
-		mgr = ar.mgrs.Take()
-		statconn.NewInto(mgr, s, ctrl, scCfg)
-	} else {
-		netif = NewNetIf(s, stack)
-		mgr = statconn.New(s, ctrl, scCfg)
-	}
+	netif := ar.netifs.Take()
+	NewNetIfInto(netif, s, stack, ar.gattDB)
+	mgr := ar.mgrs.Take()
+	statconn.NewInto(mgr, s, ctrl, cfg.Statconn)
 	tr := cfg.Trace
 	name := cfg.Name
 	ctrl.SetTrace(tr, name)
@@ -161,21 +136,13 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 			router.LinkDown(uint64(c.Peer()))
 		}
 	}
-	var ep *coap.Endpoint
-	if ar != nil {
-		ep = ar.coaps.Take()
-		coap.NewEndpointInto(ep, s, stack, 0, true)
-	} else {
-		ep = coap.NewEndpoint(s, stack, 0)
-	}
+	ep := ar.coaps.Take()
+	coap.NewEndpointInto(ep, s, stack, 0)
 	ep.SetTrace(tr, name)
 	if router != nil {
 		router.Start()
 	}
-	nd := new(Node)
-	if ar != nil {
-		nd = ar.nodes.Take()
-	}
+	nd := ar.nodes.Take()
 	*nd = Node{
 		Name:     cfg.Name,
 		Sim:      s,

@@ -11,94 +11,6 @@ import (
 	"blemesh/internal/testbed"
 )
 
-// arenaExport drives one traced workload with the given allocation path
-// (arena-backed struct-of-arrays vs the legacy per-node heap path) and
-// returns the full trace + metrics NDJSON. shards==0 is the serial engine
-// with phy domain partitioning; shards>=1 the conservative sharded one.
-func arenaExport(t *testing.T, topo testbed.Topology, seed int64, legacy bool, shards int) string {
-	t.Helper()
-	nw := BuildNetwork(NetworkConfig{
-		Seed:          seed,
-		Engine:        sim.EngineWheel,
-		Shards:        shards,
-		Topology:      topo,
-		Policy:        statconn.Static{Interval: 75 * sim.Millisecond},
-		JamChannel22:  true,
-		Trace:         true,
-		TraceCapacity: 1 << 18,
-		LegacyAlloc:   legacy,
-	})
-	// Formation failure on a hard seed is itself fine — both allocation
-	// paths must fail identically, and byte equality still checks that.
-	nw.WaitTopology(60 * sim.Second)
-	nw.Run(5 * sim.Second)
-	nw.StartTraffic(TrafficConfig{Interval: sim.Second, Jitter: 500 * sim.Millisecond})
-	nw.Run(20 * sim.Second)
-	var b strings.Builder
-	if err := nw.Trace.WriteNDJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Registry.WriteNDJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestArenaAllocEquivalence is the determinism lockdown for the
-// struct-of-arrays builder: generated geo and city topologies (and the
-// fixed-tree control) at 1 and 4 worker lanes must export byte-identical
-// trace and metrics NDJSON whether nodes come out of arena slabs with
-// compact tables or out of the legacy per-node allocations. The arena is a
-// memory-layout knob, never an output knob.
-func TestArenaAllocEquivalence(t *testing.T) {
-	seeds := int64(16)
-	if testing.Short() {
-		seeds = 4
-	}
-	for _, kind := range []string{"geo", "city", "tree"} {
-		t.Run(kind, func(t *testing.T) {
-			for seed := int64(1); seed <= seeds; seed++ {
-				topo := spatialTopology(kind, seed)
-				for _, shards := range []int{1, 4} {
-					legacy := arenaExport(t, topo, seed, true, shards)
-					soa := arenaExport(t, topo, seed, false, shards)
-					if legacy == "" {
-						t.Fatalf("%s seed %d shards %d: empty export", kind, seed, shards)
-					}
-					if soa != legacy {
-						n, g, w := firstDiff(soa, legacy)
-						t.Fatalf("%s seed %d shards %d: arena path diverges from legacy at line %d:\n  arena:  %s\n  legacy: %s",
-							kind, seed, shards, n, g, w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestArenaSerialAllocEquivalence covers the serial build (shards==0),
-// whose arena path is structurally different from the sharded one: a single
-// network-wide arena carving in global id order against one shared RNG.
-func TestArenaSerialAllocEquivalence(t *testing.T) {
-	for _, kind := range []string{"geo", "city", "tree"} {
-		t.Run(kind, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				topo := spatialTopology(kind, seed)
-				legacy := arenaExport(t, topo, seed, true, 0)
-				soa := arenaExport(t, topo, seed, false, 0)
-				if legacy == "" {
-					t.Fatalf("%s seed %d: empty export", kind, seed)
-				}
-				if soa != legacy {
-					n, g, w := firstDiff(soa, legacy)
-					t.Fatalf("%s seed %d serial: arena path diverges from legacy at line %d:\n  arena:  %s\n  legacy: %s",
-						kind, seed, n, g, w)
-				}
-			}
-		})
-	}
-}
-
 // TestParallelBuildRepeatable pins the parallel per-site fill itself: the
 // same many-site topology built twice with 8 claim-racing workers must
 // produce identical node populations and identical exports. Run under
@@ -109,8 +21,8 @@ func TestParallelBuildRepeatable(t *testing.T) {
 	if len(topo.Sites()) < 4 {
 		t.Fatalf("fixture topology has %d sites, need many for worker racing", len(topo.Sites()))
 	}
-	a := arenaExport(t, topo, 11, false, 8)
-	b := arenaExport(t, topo, 11, false, 8)
+	a := goldenExport(t, topo, 11, 8)
+	b := goldenExport(t, topo, 11, 8)
 	if a == "" {
 		t.Fatal("empty export")
 	}

@@ -131,14 +131,6 @@ type NetworkConfig struct {
 	// instead of the spatial grid index. Output must be byte-identical
 	// either way; the differential test layer flips this to prove it.
 	LinearPHY bool
-	// LegacyAlloc restores the pre-arena allocation path: every subsystem
-	// struct heap-allocated individually, map-backed tables in every layer,
-	// and the historical global-phase construction loop. The default (false)
-	// builds arena-backed struct-of-arrays node state — one slab per
-	// subsystem type, compact slice-backed tables, per-site parallel fill in
-	// sharded mode. Observable output is byte-identical either way; the flag
-	// exists as the differential baseline and is kept for one release.
-	LegacyAlloc bool
 	// Shards selects the sharded scheduler (internal/sim Sharded): the
 	// topology is cut into RF-isolated sites (connected components), each
 	// driven by its own event queue and clock under a conservative barrier
@@ -286,7 +278,6 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 		}
 	}
 	shardedMode := cfg.Shards >= 1
-	legacy := cfg.LegacyAlloc
 
 	seriesBucket := cfg.SeriesBucket
 	if seriesBucket <= 0 {
@@ -317,7 +308,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	siteSims := make([]*sim.Sim, len(sites))
 	if shardedMode {
 		engineFor := func(int) sim.Engine { return cfg.Engine }
-		if !legacy && len(sites) >= heapEngineMinSites {
+		if len(sites) >= heapEngineMinSites {
 			// Small sites run on the heap engine: a timer wheel carries
 			// ~9KB of fixed slot arrays per queue, which city-scale site
 			// counts multiply into megabytes, while a heap starts empty and
@@ -394,17 +385,15 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 		buildMedium(nw.Sim)
 	}
 	nw.Medium = nw.Media[0]
-	if !legacy {
-		// Radios come out of per-medium slabs: each medium knows exactly
-		// how many nodes will attach, so NewRadio hands out contiguous
-		// elements instead of one small allocation per node.
-		if shardedMode {
-			for si, site := range sites {
-				nw.Media[si].ReserveRadios(len(site))
-			}
-		} else {
-			nw.Medium.ReserveRadios(len(ids))
+	// Radios come out of per-medium slabs: each medium knows exactly how
+	// many nodes will attach, so NewRadio hands out contiguous elements
+	// instead of one small allocation per node.
+	if shardedMode {
+		for si, site := range sites {
+			nw.Media[si].ReserveRadios(len(site))
 		}
+	} else {
+		nw.Medium.ReserveRadios(len(ids))
 	}
 
 	// Metric surfaces: one RTT CDF and PDR series per site in perSite
@@ -414,23 +403,16 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	if nw.perSite {
 		nsurf = len(sites)
 	}
-	if legacy {
-		for i := 0; i < nsurf; i++ {
-			nw.rtts = append(nw.rtts, &metrics.CDF{})
-			nw.series = append(nw.series, metrics.NewTimeSeries(seriesBucket))
-		}
-	} else {
-		// Struct-of-arrays metric surfaces: two slabs instead of 2·nsurf
-		// small allocations (nsurf is the site count in perSite city runs).
-		cdfs := make([]metrics.CDF, nsurf)
-		tss := make([]metrics.TimeSeries, nsurf)
-		nw.rtts = make([]*metrics.CDF, nsurf)
-		nw.series = make([]*metrics.TimeSeries, nsurf)
-		for i := 0; i < nsurf; i++ {
-			tss[i].Bucket = seriesBucket
-			nw.rtts[i] = &cdfs[i]
-			nw.series[i] = &tss[i]
-		}
+	// Struct-of-arrays metric surfaces: two slabs instead of 2·nsurf small
+	// allocations (nsurf is the site count in perSite city runs).
+	cdfs := make([]metrics.CDF, nsurf)
+	tss := make([]metrics.TimeSeries, nsurf)
+	nw.rtts = make([]*metrics.CDF, nsurf)
+	nw.series = make([]*metrics.TimeSeries, nsurf)
+	for i := 0; i < nsurf; i++ {
+		tss[i].Bucket = seriesBucket
+		nw.rtts[i] = &cdfs[i]
+		nw.series[i] = &tss[i]
 	}
 	nw.RTTs, nw.Series = nw.rtts[0], nw.series[0]
 
@@ -457,10 +439,10 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	if shardedMode {
 		// Sharded recording must never grow the ring map from a worker
 		// goroutine: register every emitter up front against its site's
-		// clock, then freeze. With tracing off the arena path skips the
-		// registration entirely — a disabled log never records, and the
-		// per-node name/ring bookkeeping is pure waste at city scale.
-		if cfg.Trace || legacy {
+		// clock, then freeze. With tracing off the registration is skipped
+		// entirely — a disabled log never records, and the per-node
+		// name/ring bookkeeping is pure waste at city scale.
+		if cfg.Trace {
 			for _, id := range ids {
 				nw.Trace.RegisterNode(nodeName(id), siteSims[nw.siteOf[id]], nw.siteOf[id])
 			}
@@ -468,26 +450,22 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 		nw.Trace.Freeze()
 	}
 
-	// Preallocated storage for the arena path: one arena per site in
-	// sharded mode (each site's builder carves its own slabs, so the fill
-	// can run in parallel), one network-wide arena in serial mode (a serial
-	// run shares one RNG across sites, so nodes must build in global id
-	// order — a single arena carves in exactly that order).
+	// Preallocated node storage: one arena per site in sharded mode (each
+	// site's builder carves its own slabs, so the fill can run in
+	// parallel), one network-wide arena in serial mode (a serial run shares
+	// one RNG across sites, so nodes must build in global id order — a
+	// single arena carves in exactly that order).
 	var arenas []*core.Arena
-	var serialArena *core.Arena
-	var meterSlab []energy.Meter
-	if !legacy {
-		if shardedMode {
-			sizes := make([]int, len(sites))
-			for si, site := range sites {
-				sizes[si] = len(site)
-			}
-			arenas = core.NewArenas(sizes)
-		} else {
-			serialArena = core.NewArena(len(ids), nil)
+	if shardedMode {
+		sizes := make([]int, len(sites))
+		for si, site := range sites {
+			sizes[si] = len(site)
 		}
-		meterSlab = make([]energy.Meter, maxID+1)
+		arenas = core.NewArenas(sizes)
+	} else {
+		arenas = []*core.Arena{core.NewArena(len(ids), nil)}
 	}
+	meterSlab := make([]energy.Meter, maxID+1)
 
 	// The sink forest is O(network) to derive — compute it once here and
 	// share it between the route-counting pass and every per-site install
@@ -511,7 +489,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 		routeB   *arena.Builder
 		routeBuf []ip6.Route
 	)
-	if !legacy && sinkParent != nil {
+	if sinkParent != nil {
 		routeB = arena.NewBuilder(maxID + 1)
 		for _, id := range ids {
 			p, ok := sinkParent[id]
@@ -541,15 +519,11 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	}
 	buildNode := func(id int) {
 		site := nw.siteOf[id]
-		medium := nw.Media[0]
+		medium, ar := nw.Media[0], arenas[0]
 		if shardedMode {
-			medium = nw.Media[site]
+			medium, ar = nw.Media[site], arenas[site]
 		} else {
 			medium.SetDomain(site)
-		}
-		ar := serialArena
-		if arenas != nil {
-			ar = arenas[site]
 		}
 		n := core.NewNode(siteSims[site], medium, core.NodeConfig{
 			Name:     nodeName(id),
@@ -571,13 +545,9 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 			n.Radio.SetPosition(p.X, p.Y, p.Z)
 		}
 		nw.Nodes[id] = n
-		if meterSlab != nil {
-			m := &meterSlab[id]
-			energy.NewMeterInto(m, energy.DefaultParams(), n.Ctrl, n.Radio)
-			nw.Meters[id] = m
-		} else {
-			nw.Meters[id] = energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
-		}
+		m := &meterSlab[id]
+		energy.NewMeterInto(m, energy.DefaultParams(), n.Ctrl, n.Radio)
+		nw.Meters[id] = m
 	}
 	// Manual IP routes along the unique topology paths (§4.3). In dynamic
 	// mode RPL-lite discovers and maintains routes instead.
@@ -586,12 +556,10 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 			return
 		}
 		if cfg.SparseRoutes {
-			if routeB != nil {
-				for _, id := range ids {
-					v := arena.View(routeB, routeBuf, id)
-					nw.Nodes[id].Stack.ReserveRoutes(v)
-					nw.Nodes[id].ReserveProvRoutes(v)
-				}
+			for _, id := range ids {
+				v := arena.View(routeB, routeBuf, id)
+				nw.Nodes[id].Stack.ReserveRoutes(v)
+				nw.Nodes[id].ReserveProvRoutes(v)
 			}
 			nw.installSparseRoutes(ids, sinkParent)
 			return
@@ -605,7 +573,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	}
 
 	subCount := cfg.Topology.SubordinateCount()
-	if shardedMode && !legacy {
+	if shardedMode {
 		// Parallel two-pass build: sites are RF-isolated and draw from
 		// independent per-site RNG streams, so the only ordering that
 		// matters is within a site — and each site runs the exact phase

@@ -28,8 +28,9 @@ type Options struct {
 	// the heap reference engine exists for differential testing).
 	Engine sim.Engine
 	// Shards selects the sharded conservative scheduler with this many
-	// worker lanes (0 = legacy serial engine). Results are byte-identical
-	// for any value ≥ 1; see NetworkConfig.Shards.
+	// worker lanes (0 = serial engine). Results are byte-identical for
+	// every value ≥ 1, and match 0 only on single-site topologies; see
+	// NetworkConfig.Shards.
 	Shards int
 }
 

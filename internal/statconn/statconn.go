@@ -151,11 +151,6 @@ type Config struct {
 	// at 3×AdvInterval and doubles per consecutive failed attempt up to
 	// this cap (default 16 × 3×AdvInterval).
 	BackoffCap sim.Duration
-	// Compact selects allocation-lean internal storage: the five per-peer
-	// maps collapse into one small slice of peer slots and the up-set
-	// becomes a slice. Behaviour is identical — a BLE node maintains a
-	// handful of links, so linear scans beat hashing.
-	Compact bool
 }
 
 func (c *Config) defaults() {
@@ -280,11 +275,12 @@ func (q *peerQual) pdr(liveTX, liveRe uint64) (float64, bool) {
 	return est, have
 }
 
-// peerSlot is the compact-mode per-peer record: everything the five legacy
-// maps track for one peer, in one slice element. Slots are created on first
-// touch and never removed (a node's peer set is its static topology); the
-// individual fields are cleared instead where the legacy path would delete
-// map entries.
+// peerSlot is the per-peer record: whether the peer is a wanted outbound
+// link, its backoff and recovery-measurement state, and its link quality.
+// A BLE node maintains a handful of links, so one small slice scanned
+// linearly beats a map per field. Slots are created on first touch and
+// never removed (a node's peer set is its static topology); fields are
+// cleared instead.
 type peerSlot struct {
 	peer      ble.DevAddr
 	wanted    bool
@@ -302,15 +298,12 @@ type Manager struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	wantedOut map[ble.DevAddr]bool // peers we coordinate toward
-	expectIn  int                  // subordinate links we accept
-	activeIn  int
-	up        map[*ble.Conn]bool // links reported via OnLinkUp
-
-	// Compact-mode backends for the maps above/below: slots replaces
-	// wantedOut/attempts/downSince/qual, upList replaces up.
-	slots  []peerSlot
-	upList []*ble.Conn
+	// slots holds the per-peer state: wanted outbound links, backoff
+	// attempts, recovery stamps and link quality (see peerSlot).
+	slots    []peerSlot
+	expectIn int // subordinate links we accept
+	activeIn int
+	up       []*ble.Conn // links reported via OnLinkUp
 
 	// lossTimes records when each loss happened (Fig. 14's counts and the
 	// reconnect-latency characterization).
@@ -318,23 +311,17 @@ type Manager struct {
 	reconnectEnds  []sim.Time
 	pendingReopens int
 
-	// Self-healing state: per-peer consecutive failed initiation attempts
-	// (drives the exponential backoff), when each proven link went down
-	// (drives recovery-latency measurement), and the completed recovery
-	// latencies as a mergeable distribution (seconds) — bounded memory in
-	// sketch mode, so long churny runs don't accumulate per-sample state.
-	attempts  map[ble.DevAddr]int
-	downSince map[ble.DevAddr]sim.Time
-	recovery  metrics.CDF
+	// Self-healing state beyond the per-peer slots: the completed
+	// recovery latencies as a mergeable distribution (seconds) — bounded
+	// memory in sketch mode, so long churny runs don't accumulate
+	// per-sample state.
+	recovery metrics.CDF
 
 	// stopped gates all topology-restoring reactions while the host is
 	// down; gen invalidates backoff timers armed before a shutdown.
 	stopped bool
 	gen     int
 
-	// qual is the per-peer link-quality state (retransmission EWMA plus
-	// loss/reconnect counters). Observer state: it survives Shutdown.
-	qual      map[ble.DevAddr]*peerQual
 	samplerOn bool
 
 	stats Stats
@@ -363,19 +350,12 @@ func NewInto(m *Manager, s *sim.Sim, ctrl *ble.Controller, cfg Config) {
 		cfg:  cfg,
 		rng:  s.Rand(),
 	}
-	if !cfg.Compact {
-		m.wantedOut = make(map[ble.DevAddr]bool)
-		m.up = make(map[*ble.Conn]bool)
-		m.attempts = make(map[ble.DevAddr]int)
-		m.downSince = make(map[ble.DevAddr]sim.Time)
-		m.qual = make(map[ble.DevAddr]*peerQual)
-	}
 	ctrl.SetScanParams(ble.ScanParams{Interval: cfg.ScanInterval, Window: cfg.ScanWindow})
 	ctrl.OnConnect = m.handleConnect
 	ctrl.OnDisconnect = m.handleDisconnect
 }
 
-// ---- Compact-mode peer-slot backend --------------------------------------
+// ---- Per-peer slots and the up-set ---------------------------------------
 
 // slot returns peer's slot, or nil when the peer has never been touched.
 func (m *Manager) slot(peer ble.DevAddr) *peerSlot {
@@ -400,118 +380,47 @@ func (m *Manager) slotEnsure(peer ble.DevAddr) *peerSlot {
 }
 
 func (m *Manager) wanted(peer ble.DevAddr) bool {
-	if m.cfg.Compact {
-		s := m.slot(peer)
-		return s != nil && s.wanted
-	}
-	return m.wantedOut[peer]
-}
-
-func (m *Manager) attemptCount(peer ble.DevAddr) int {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			return s.attempts
-		}
-		return 0
-	}
-	return m.attempts[peer]
-}
-
-func (m *Manager) bumpAttempts(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		m.slotEnsure(peer).attempts++
-		return
-	}
-	m.attempts[peer]++
+	s := m.slot(peer)
+	return s != nil && s.wanted
 }
 
 func (m *Manager) resetAttempts(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			s.attempts = 0
-		}
-		return
+	if s := m.slot(peer); s != nil {
+		s.attempts = 0
 	}
-	delete(m.attempts, peer)
 }
 
-func (m *Manager) downSinceGet(peer ble.DevAddr) (sim.Time, bool) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil && s.measuring {
-			return s.downSince, true
-		}
-		return 0, false
+// downSince reports when peer's proven link went down, if a recovery
+// measurement is running.
+func (m *Manager) downSince(peer ble.DevAddr) (sim.Time, bool) {
+	if s := m.slot(peer); s != nil && s.measuring {
+		return s.downSince, true
 	}
-	t, ok := m.downSince[peer]
-	return t, ok
-}
-
-func (m *Manager) downSinceSet(peer ble.DevAddr, t sim.Time) {
-	if m.cfg.Compact {
-		s := m.slotEnsure(peer)
-		s.downSince, s.measuring = t, true
-		return
-	}
-	m.downSince[peer] = t
-}
-
-func (m *Manager) downSinceDel(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			s.measuring = false
-		}
-		return
-	}
-	delete(m.downSince, peer)
+	return 0, false
 }
 
 func (m *Manager) isUp(c *ble.Conn) bool {
-	if m.cfg.Compact {
-		for _, x := range m.upList {
-			if x == c {
-				return true
-			}
+	for _, x := range m.up {
+		if x == c {
+			return true
 		}
-		return false
 	}
-	return m.up[c]
+	return false
 }
 
 func (m *Manager) setUp(c *ble.Conn) {
-	if m.cfg.Compact {
-		if !m.isUp(c) {
-			m.upList = append(m.upList, c)
-		}
-		return
+	if !m.isUp(c) {
+		m.up = append(m.up, c)
 	}
-	m.up[c] = true
 }
 
 func (m *Manager) clearUp(c *ble.Conn) {
-	if m.cfg.Compact {
-		for i, x := range m.upList {
-			if x == c {
-				m.upList = append(m.upList[:i], m.upList[i+1:]...)
-				return
-			}
+	for i, x := range m.up {
+		if x == c {
+			m.up = append(m.up[:i], m.up[i+1:]...)
+			return
 		}
-		return
 	}
-	delete(m.up, c)
-}
-
-// upConns returns the current usable connections for iteration. In compact
-// mode it is the backing slice itself (callers must not mutate link state
-// mid-iteration); legacy mode materialises the map's values.
-func (m *Manager) upConns() []*ble.Conn {
-	if m.cfg.Compact {
-		return m.upList
-	}
-	out := make([]*ble.Conn, 0, len(m.up))
-	for c := range m.up {
-		out = append(out, c)
-	}
-	return out
 }
 
 // Stats returns a copy of the manager counters, with the recovery-latency
@@ -554,11 +463,7 @@ func (m *Manager) Connect(peer ble.DevAddr) {
 	if m.wanted(peer) {
 		return
 	}
-	if m.cfg.Compact {
-		m.slotEnsure(peer).wanted = true
-	} else {
-		m.wantedOut[peer] = true
-	}
+	m.slotEnsure(peer).wanted = true
 	m.initiateAfterBackoff(peer)
 }
 
@@ -571,7 +476,11 @@ func (m *Manager) Connect(peer ble.DevAddr) {
 // instead of hammering the air. Success resets the window.
 func (m *Manager) initiateAfterBackoff(peer ble.DevAddr) {
 	span := int64(3 * m.cfg.AdvInterval)
-	for i := m.attemptCount(peer); i > 0 && span < int64(m.cfg.BackoffCap); i-- {
+	attempts := 0
+	if s := m.slot(peer); s != nil {
+		attempts = s.attempts
+	}
+	for i := attempts; i > 0 && span < int64(m.cfg.BackoffCap); i-- {
 		span <<= 1
 	}
 	if span > int64(m.cfg.BackoffCap) {
@@ -634,19 +543,13 @@ func (m *Manager) Shutdown() {
 	m.expectIn = 0
 	m.activeIn = 0
 	m.pendingReopens = 0
-	if m.cfg.Compact {
-		// Clear the fields the legacy path remakes maps for; quality
-		// state survives, matching the legacy path keeping qual.
-		for i := range m.slots {
-			m.slots[i].wanted = false
-			m.slots[i].attempts = 0
-			m.slots[i].measuring = false
-		}
-		return
+	// Forget the topology and self-healing state; link quality is
+	// observer state and survives.
+	for i := range m.slots {
+		m.slots[i].wanted = false
+		m.slots[i].attempts = 0
+		m.slots[i].measuring = false
 	}
-	m.wantedOut = make(map[ble.DevAddr]bool)
-	m.attempts = make(map[ble.DevAddr]int)
-	m.downSince = make(map[ble.DevAddr]sim.Time)
 }
 
 // Restart re-arms a stopped manager; the host re-declares its topology via
@@ -704,8 +607,8 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 		// Success resets the exponential backoff and completes any
 		// recovery measurement that started when the link went down.
 		m.resetAttempts(c.Peer())
-		if t0, ok := m.downSinceGet(c.Peer()); ok {
-			m.downSinceDel(c.Peer())
+		if t0, ok := m.downSince(c.Peer()); ok {
+			m.slot(c.Peer()).measuring = false
 			m.recovery.AddDuration(m.s.Now() - t0)
 		}
 	}
@@ -763,7 +666,7 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 		// Not a link loss — the link never existed.
 		m.stats.EstablishFails++
 		if c.Role() == ble.Coordinator && m.wanted(c.Peer()) {
-			m.bumpAttempts(c.Peer())
+			m.slotEnsure(c.Peer()).attempts++
 		}
 	case reason == ble.LossSupervision:
 		m.stats.SupervisionLoss++
@@ -783,8 +686,9 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 			// the recovery-latency measurement and reset the backoff (a
 			// fresh loss episode starts from the short window).
 			if c.Stats().EventsOK > 0 {
-				if _, measuring := m.downSinceGet(c.Peer()); !measuring {
-					m.downSinceSet(c.Peer(), m.s.Now())
+				if _, measuring := m.downSince(c.Peer()); !measuring {
+					s := m.slotEnsure(c.Peer())
+					s.downSince, s.measuring = m.s.Now(), true
 				}
 				m.resetAttempts(c.Peer())
 			}
@@ -804,27 +708,19 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 }
 
 // quality returns (creating if needed) the peer's link-quality state. The
-// compact-mode pointer aims into the slots slice and is invalidated by the
-// next slot creation; every caller uses it before any peer-creating call.
+// pointer aims into the slots slice and is invalidated by the next slot
+// creation; every caller uses it before any peer-creating call.
 func (m *Manager) quality(peer ble.DevAddr) *peerQual {
-	if m.cfg.Compact {
-		s := m.slotEnsure(peer)
-		s.hasQual = true
-		return &s.qual
-	}
-	q := m.qual[peer]
-	if q == nil {
-		q = &peerQual{}
-		m.qual[peer] = q
-	}
-	return q
+	s := m.slotEnsure(peer)
+	s.hasQual = true
+	return &s.qual
 }
 
 // SampleLinkQuality folds the retransmission counters of every active
 // connection into the per-peer PDR EWMAs. The periodic sampler calls this;
 // it is also safe to call directly (e.g. from tests).
 func (m *Manager) SampleLinkQuality() {
-	for _, c := range m.upConns() {
+	for _, c := range m.up {
 		m.quality(c.Peer()).fold(c.Stats())
 	}
 }
@@ -855,19 +751,13 @@ func (m *Manager) EnableQualitySampling(interval sim.Duration) {
 // connection's live counters are mixed in transiently without advancing the
 // sampling baselines.
 func (m *Manager) PeerETX(peer ble.DevAddr) float64 {
-	var q *peerQual
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil && s.hasQual {
-			q = &s.qual
-		}
-	} else {
-		q = m.qual[peer]
-	}
-	if q == nil {
+	s := m.slot(peer)
+	if s == nil || !s.hasQual {
 		return 1
 	}
+	q := &s.qual
 	var liveTX, liveRe uint64
-	for _, c := range m.upConns() {
+	for _, c := range m.up {
 		if c.Peer() == peer {
 			st := c.Stats()
 			liveTX, liveRe = st.TXPDUs, st.Retrans
@@ -890,15 +780,9 @@ func (m *Manager) PeerETX(peer ble.DevAddr) float64 {
 // peerLinks builds the sorted per-peer snapshot for Stats.
 func (m *Manager) peerLinks() []PeerLink {
 	var peers []ble.DevAddr
-	if m.cfg.Compact {
-		for i := range m.slots {
-			if m.slots[i].hasQual {
-				peers = append(peers, m.slots[i].peer)
-			}
-		}
-	} else {
-		for p := range m.qual {
-			peers = append(peers, p)
+	for i := range m.slots {
+		if m.slots[i].hasQual {
+			peers = append(peers, m.slots[i].peer)
 		}
 	}
 	if len(peers) == 0 {
@@ -909,7 +793,7 @@ func (m *Manager) peerLinks() []PeerLink {
 	for _, p := range peers {
 		q := m.quality(p)
 		up := false
-		for _, c := range m.upConns() {
+		for _, c := range m.up {
 			if c.Peer() == p {
 				up = true
 				break
