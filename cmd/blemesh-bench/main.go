@@ -7,7 +7,9 @@
 // sharded scheduler (four worker lanes on a four-site forest) against the
 // serial engine on the same workload, and it times the canonical 10k-node
 // generated city-scale run per event (ns_per_event_10k; gated locally by
-// -max10kns, informational in CI). With -write it records the
+// -max10kns, informational in CI), and it measures the CoAP endpoint round
+// trip at a Fig. 9(a)-rate sink (layer_coap_ns_op, informational;
+// layer_coap_allocs_op, gated as a ceiling). With -write it records the
 // result as a baseline (BENCH_sim.json); with -check it verifies the wheel's
 // dense-workload advantage holds (≥1.2×), that the pooled datapath stays at
 // least 50% below the pre-pooling allocation count, and that no metric
@@ -35,6 +37,7 @@ import (
 	"testing"
 	"time"
 
+	"blemesh/internal/coap"
 	"blemesh/internal/exp"
 	"blemesh/internal/metrics/sketch"
 	"blemesh/internal/pktbuf"
@@ -115,6 +118,14 @@ func packetPathStats(pooled bool) (allocs, bytes float64) {
 	defer pktbuf.SetPooling(os.Getenv("BLEMESH_NO_PKTBUF_POOL") == "")
 	r := testing.Benchmark(exp.PacketPathBench)
 	return float64(r.AllocsPerOp()), float64(r.AllocedBytesPerOp())
+}
+
+// coapLayerStats runs the CoAP layer benchmark (coap.ServeHotSinkBench).
+// allocs/op is a deterministic property of the code path and is gated as a
+// ceiling; ns/op is informational.
+func coapLayerStats() (ns, allocs float64) {
+	r := testing.Benchmark(coap.ServeHotSinkBench)
+	return float64(r.NsPerOp()), float64(r.AllocsPerOp())
 }
 
 // sketchStats feeds one deterministic heavy-tailed stream (lognormal, the
@@ -344,6 +355,7 @@ func main() {
 
 	m["allocs_per_pkt_exchange"], m["bytes_per_pkt_exchange"] = packetPathStats(true)
 	m["allocs_per_pkt_unpooled"], m["bytes_per_pkt_unpooled"] = packetPathStats(false)
+	m["layer_coap_ns_op"], m["layer_coap_allocs_op"] = coapLayerStats()
 	for k, v := range sketchStats() {
 		m[k] = v
 	}
@@ -442,7 +454,7 @@ func main() {
 					failed = true
 				}
 			case strings.HasPrefix(k, "allocs_per_pkt_") || strings.HasPrefix(k, "bytes_per_pkt_") ||
-				k == "bytes_per_node_10k":
+				k == "bytes_per_node_10k" || strings.HasPrefix(k, "layer_") && strings.HasSuffix(k, "_allocs_op"):
 				// Heap costs must not rise above the baseline.
 				ceil := want * (1 + *tolerance)
 				if m[k] > ceil {

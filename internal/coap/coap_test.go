@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"blemesh/internal/ip6"
-	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -125,37 +124,6 @@ func TestCodeHelpers(t *testing.T) {
 	if CodeContent.String() != "2.05" || CodeNotFound.String() != "4.04" {
 		t.Fatalf("code strings: %v %v", CodeContent, CodeNotFound)
 	}
-}
-
-// twoStacks wires two ip6 stacks back to back through in-memory interfaces.
-type wireIf struct {
-	peer    *ip6.Stack
-	peerMAC uint64
-	s       *sim.Sim
-	delay   sim.Duration
-	drop    func() bool
-}
-
-func (w *wireIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
-	defer pkt.Put()
-	if w.drop != nil && w.drop() {
-		return true // swallowed
-	}
-	cp := append([]byte(nil), pkt.Bytes()...)
-	w.s.After(w.delay, func() { w.peer.Input(cp, pid) })
-	return true
-}
-func (w *wireIf) HasNeighbor(mac uint64) bool { return mac == w.peerMAC }
-func (w *wireIf) MTU() int                    { return 1280 }
-
-func twoStacks(s *sim.Sim, delay sim.Duration) (*ip6.Stack, *ip6.Stack, *wireIf, *wireIf) {
-	a := ip6.NewStack(s, 0x0A)
-	b := ip6.NewStack(s, 0x0B)
-	wa := &wireIf{peer: b, peerMAC: 0x0B, s: s, delay: delay}
-	wb := &wireIf{peer: a, peerMAC: 0x0A, s: s, delay: delay}
-	a.AddInterface(wa)
-	b.AddInterface(wb)
-	return a, b, wa, wb
 }
 
 func TestNONRequestResponse(t *testing.T) {
@@ -333,4 +301,11 @@ func TestTokensDistinguishConcurrentRequests(t *testing.T) {
 			t.Fatalf("response for %q = %q", path, got[path])
 		}
 	}
+}
+
+// BenchmarkEndpointServeHotSink measures the CoAP endpoint round trip at a
+// sink serving the Fig. 9(a) request rate with a warm dedup cache.
+// blemesh-bench records it as layer_coap_ns_op and layer_coap_allocs_op.
+func BenchmarkEndpointServeHotSink(b *testing.B) {
+	ServeHotSinkBench(b)
 }

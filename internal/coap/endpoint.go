@@ -3,7 +3,6 @@ package coap
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"blemesh/internal/ip6"
 	"blemesh/internal/sim"
@@ -79,13 +78,13 @@ type Endpoint struct {
 
 	mid    uint16
 	tokSeq uint64
-	// pending (by token) and seen (recent (peer, MID) pairs, the CON
-	// dedup cache) are allocated on first use: a city-scale build creates
-	// 10k+ endpoints whose maps mostly stay empty until traffic starts.
-	// Reads of nil maps are already safe; the two write sites go through
-	// ensurePending/ensureSeen.
+	// pending (by token) and seen (the request dedup cache) are allocated
+	// on first use: a city-scale build creates 10k+ endpoints in an arena
+	// slab, most of which never serve a request, so seen stays one pointer.
+	// Reads of a nil pending map are safe; its write site goes through
+	// ensurePending, and handleRequest allocates seen.
 	pending map[string]*pendingReq
-	seen    map[string]sim.Time
+	seen    *dedupCache
 	stats   Stats
 	Handler Handler
 
@@ -122,12 +121,6 @@ func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16) {
 func (ep *Endpoint) ensurePending() {
 	if ep.pending == nil {
 		ep.pending = make(map[string]*pendingReq)
-	}
-}
-
-func (ep *Endpoint) ensureSeen() {
-	if ep.seen == nil {
-		ep.seen = make(map[string]sim.Time)
 	}
 }
 
@@ -280,20 +273,24 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 	}
 }
 
-// handleRequest runs the handler and sends its response. Confirmable
-// requests are deduplicated by (peer, MID) and acknowledged; the response
-// piggybacks on the ACK as RFC 7252 §5.2.1 describes. Non-confirmable
-// requests get a response of the handler's chosen type (the paper's
-// consumer answers NON GETs with ACK-coded responses).
+// handleRequest runs the handler and sends its response. Requests are
+// deduplicated by (source endpoint, MID) over DedupWindow (RFC 7252 §4.5);
+// confirmable ones are acknowledged, with the response piggybacked on the
+// ACK as RFC 7252 §5.2.1 describes. Non-confirmable requests get a response
+// of the handler's chosen type (the paper's consumer answers NON GETs with
+// ACK-coded responses).
 func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
-	key := fmt.Sprintf("%v|%d", src, req.MessageID)
-	if at, dup := ep.seen[key]; dup && ep.s.Now()-at < 60*sim.Second {
+	if ep.seen == nil {
+		ep.seen = newDedupCache()
+	}
+	now := ep.s.Now()
+	ep.seen.expire(now - DedupWindow)
+	key := ep.seen.key(source{src, srcPort}, req.MessageID)
+	if ep.seen.has(key) {
 		ep.stats.Duplicates++
 		return
 	}
-	ep.ensureSeen()
-	ep.seen[key] = ep.s.Now()
-	ep.gcSeen()
+	ep.seen.add(key, now)
 	ep.stats.RequestsServed++
 	if ep.Handler == nil {
 		return
@@ -311,17 +308,4 @@ func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
 		resp.MessageID = ep.NewMessageID()
 	}
 	_, _ = ep.send(src, resp)
-}
-
-// gcSeen bounds the dedup cache.
-func (ep *Endpoint) gcSeen() {
-	if len(ep.seen) < 4096 {
-		return
-	}
-	cutoff := ep.s.Now() - 60*sim.Second
-	for k, at := range ep.seen {
-		if at < cutoff {
-			delete(ep.seen, k)
-		}
-	}
 }
